@@ -115,9 +115,10 @@ def make_deployment(
     ``workers_per_node`` slots per server; a transfer coordinator with the
     paper's 4 KB buffers; and an :class:`AnalyticsPipeline` on top.
 
-    ``transport`` selects the stream channel implementation: ``"memory"``
-    (thread-safe spillable buffers, the default) or ``"socket"`` (real
-    kernel socket pairs with non-blocking senders — §3's literal TCP step).
+    ``transport`` selects the pipe under every stream channel: ``"memory"``
+    (thread-safe spillable buffers, the default) or ``"socket"`` (one mux
+    socket pair per SQL worker, each channel one tagged stream on it, with
+    non-blocking senders — §3's literal TCP step).
 
     ``batch_rows`` sets the RowBlock size of the transfer stack — how many
     rows travel per frame/lock acquisition on every stream channel and
@@ -161,9 +162,7 @@ def make_deployment(
     :class:`~repro.transfer.admission.WorkerPoolScheduler` leasing the
     shared ML worker slots fairly across live sessions, a
     :class:`~repro.transfer.admission.SpillGovernor` isolating one tenant's
-    spill backpressure from everyone else's streams, and — on the socket
-    transport — mux channels sharing one socket pair per SQL worker.  The
-    default (1, None, None) is the seed single-session behavior: none of
+    spill backpressure from everyone else's streams.  The default (1, None, None) is the seed single-session behavior: none of
     the objects exist, no new ledger categories are emitted, and the
     fault-free Figure 3/4 byte totals stay bit-identical.
 

@@ -110,7 +110,11 @@ class SpillableBuffer:
             self._closed = True
             self._readable.notify_all()
 
-    def discard(self) -> None:
+    def cancel(self) -> None:
+        """No-op: a cancelled session's budget already wakes blocked readers
+        (the socket pipe needs an explicit CANCEL frame instead)."""
+
+    def release(self) -> None:
         """Drop everything and release the spill file (session teardown).
 
         Unlike :meth:`close`, pending items are *not* kept readable — a
@@ -341,9 +345,9 @@ def decode_block(payload: bytes) -> list[tuple]:
     * a sequenced frame is unwrapped (sequence number discarded — use
       :func:`split_seq_frame` when dedup matters);
     * a columnar ``C`` frame is decoded and pivoted to rows, so row-oriented
-      receivers interoperate with columnar senders;
-    * a legacy headerless block frame (pre-``B`` layout: 8-byte header
-      followed by one list pickle) still decodes, recognized by its shape.
+      receivers interoperate with columnar senders.
+
+    Anything else raises :class:`TransferError`.
     """
     first = payload[:1]
     if first == _PICKLE_MARKER:
@@ -355,7 +359,7 @@ def decode_block(payload: bytes) -> list[tuple]:
         return _decode_row_frames(payload[1 + _BLOCK_HEADER.size :])
     if first == COLUMNAR_MARKER:
         return decode_col_block(payload).to_rows()
-    return pickle.loads(payload[_BLOCK_HEADER.size :])
+    raise TransferError(f"unrecognised frame marker {first!r}")
 
 
 def encode_col_block(batch) -> bytes:
@@ -419,9 +423,7 @@ def encode_seq_block(rows: Sequence[tuple], seq: int) -> bytes:
     already accepted, so each logical row crosses the ML boundary exactly
     once.  The prefix is unambiguous against the other framings: per-row
     frames start with the pickle protocol marker (0x80), block frames with
-    ``B`` (0x42), columnar frames with ``C`` (0x43), and legacy headerless
-    blocks with the high byte of their 8-byte logical size (0x00 for any
-    realistic block).
+    ``B`` (0x42) and columnar frames with ``C`` (0x43).
     """
     return _SEQ_MARKER + _BLOCK_HEADER.pack(seq) + encode_block(rows)
 
@@ -446,8 +448,7 @@ def block_logical_bytes(payload: bytes) -> int:
     Block (``B``) and columnar (``C``) frames carry their logical size in
     the 8-byte header after the marker.  Payloads that are none of the
     framings (the broker stores opaque records) are charged at their wire
-    length; a legacy headerless block frame is recognized by its shape —
-    no leading pickle marker, but one right after the 8-byte header.
+    length.
     """
     first = payload[:1]
     if first == _PICKLE_MARKER:
@@ -457,8 +458,5 @@ def block_logical_bytes(payload: bytes) -> int:
         first = payload[:1]
     if first == _BLOCK_MARKER or first == COLUMNAR_MARKER:
         (logical,) = _BLOCK_HEADER.unpack_from(payload, 1)
-        return logical
-    if len(payload) > _BLOCK_HEADER.size and payload[8:9] == _PICKLE_MARKER:
-        (logical,) = _BLOCK_HEADER.unpack_from(payload)
         return logical
     return len(payload)

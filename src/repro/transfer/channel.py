@@ -17,6 +17,7 @@ from repro.transfer.buffers import (
     is_columnar_frame,
     split_seq_frame,
 )
+from repro.transfer.socket_channel import MuxPipe
 
 
 @dataclass(frozen=True)
@@ -31,14 +32,27 @@ class ChannelId:
 
 
 class StreamChannel:
-    """A unidirectional row pipe with a bounded, spillable buffer.
+    """A unidirectional SQL-worker -> ML-worker pipe with a bounded,
+    spill-on-backpressure buffer (§3 step 7's TCP connection).
 
-    In the real system this is a TCP socket with a send buffer on the SQL
-    side and a receive buffer on the ML side; in-process we model the pair
-    as one :class:`SpillableBuffer` whose capacity plays both roles (the
-    paper sets both to the same 4 KB anyway).  ``local`` records whether
-    coordinator matchmaking managed to colocate the endpoints — remote
-    channels cost network bytes in the ledger, local ones do not.
+    The channel owns everything the paper's contract needs on top of the
+    raw bytes: the frame encodings, ``stream.sent``/``stream.net``/
+    ``stream.retry`` accounting, the tenant governor throttle, and §6
+    sequence dedup on the receive side.  The bytes themselves travel
+    through a *pipe* chosen by the transport:
+
+    * ``mux=None`` (memory transport) — a :class:`SpillableBuffer` whose
+      capacity plays both the send and the receive buffer (the paper sets
+      both to the same 4 KB anyway), spilling to ``spill_path`` when full;
+    * ``mux=<MuxSocketTransport>`` (socket transport) — one tag of the SQL
+      worker's shared socket pair
+      (:class:`~repro.transfer.socket_channel.MuxPipe`); its kernel buffer
+      size is the transport's, so ``buffer_bytes``, ``spill_path`` and
+      ``injector`` apply to the memory pipe only.
+
+    ``local`` records whether coordinator matchmaking managed to colocate
+    the endpoints — remote channels cost network bytes in the ledger, local
+    ones do not.
     """
 
     def __init__(
@@ -51,8 +65,9 @@ class StreamChannel:
         governor=None,
         tenant: str = "default",
         budget=None,
-        clock=None,  # repro.sim.clock.Clock | None — buffer-wait timing
+        clock=None,  # repro.sim.clock.Clock | None — receive-wait timing
         injector=None,  # FaultInjector | None — dfs.enospc at the spill site
+        mux=None,  # MuxSocketTransport | None — socket pipe instead of memory
     ):
         self.channel_id = channel_id
         self.local = local
@@ -65,18 +80,28 @@ class StreamChannel:
         self._governor = governor
         self._tenant = tenant
         # Per-session Budget: receive waits derive from its remaining time
-        # (via the buffer) and governor pauses observe its cancel flag.
+        # (inside the pipe) and governor pauses observe its cancel flag.
         self._budget = budget
-        self._buffer = SpillableBuffer(
-            capacity_bytes=buffer_bytes,
-            spill_path=spill_path,
-            ledger=ledger,
-            governor=governor,
-            tenant=tenant,
-            budget=budget,
-            clock=clock,
-            injector=injector,
-        )
+        if mux is None:
+            self.pipe = SpillableBuffer(
+                capacity_bytes=buffer_bytes,
+                spill_path=spill_path,
+                ledger=ledger,
+                governor=governor,
+                tenant=tenant,
+                budget=budget,
+                clock=clock,
+                injector=injector,
+            )
+        else:
+            self.pipe = MuxPipe(
+                mux,
+                ledger=ledger,
+                governor=governor,
+                tenant=tenant,
+                budget=budget,
+                clock=clock,
+            )
         self.rows_sent = 0
         self.bytes_sent = 0
         self.rows_received = 0
@@ -94,40 +119,23 @@ class StreamChannel:
 
     def send_row(self, row: tuple) -> None:
         """Serialize and enqueue one row (the seed's per-row wire format)."""
-        payload = encode_row(row)
-        if self._governor is not None:
-            self._governor.throttle(self._tenant, budget=self._budget)
-        self._buffer.put(payload)
-        self.rows_sent += 1
-        self._account_sent(len(payload))
+        self._send(encode_row(row), 1)
 
     def send_many(self, rows: Sequence[tuple]) -> None:
-        """Serialize and enqueue a RowBlock: one buffer item, one lock
+        """Serialize and enqueue a RowBlock: one pipe item, one lock
         acquisition, one ledger entry for the whole batch.  Accounted at
         the block's logical (per-row framing) size, keeping byte totals
         identical to the seed path."""
-        if not rows:
-            return
-        payload = encode_block(rows)
-        if self._governor is not None:
-            self._governor.throttle(self._tenant, budget=self._budget)
-        self._buffer.put(payload)
-        self.rows_sent += len(rows)
-        self._account_sent(block_logical_bytes(payload))
+        if rows:
+            self._send(encode_block(rows), len(rows))
 
     def send_col_batch(self, batch) -> None:
         """Serialize and enqueue a :class:`ColumnBatch` as one columnar
         (``C``) frame.  Accounted at the batch's logical (seed per-row
         formula) size, so ledgers stay on the row-path scale while the wire
         carries pickled numpy arrays instead of per-row pickles."""
-        if not len(batch):
-            return
-        payload = encode_col_block(batch)
-        if self._governor is not None:
-            self._governor.throttle(self._tenant, budget=self._budget)
-        self._buffer.put(payload)
-        self.rows_sent += len(batch)
-        self._account_sent(block_logical_bytes(payload))
+        if len(batch):
+            self._send(encode_col_block(batch), len(batch))
 
     def send_block(self, rows: Sequence[tuple], seq: int, retry: bool = False) -> None:
         """Enqueue a *sequenced* RowBlock (the §6 resilient send path).
@@ -139,50 +147,55 @@ class StreamChannel:
         ``stream.retry`` ledger counter, keeping the fault-free ``stream.sent``
         and ``stream.net`` totals byte-for-byte invariant.
         """
-        if not rows:
-            return
-        payload = encode_seq_block(rows, seq)
+        if rows:
+            self._send(encode_seq_block(rows, seq), len(rows), retry)
+
+    def _send(self, payload: bytes, num_rows: int, retry: bool = False) -> None:
         if self._governor is not None:
             self._governor.throttle(self._tenant, budget=self._budget)
-        self._buffer.put(payload)
+        self.pipe.put(payload)
         logical = block_logical_bytes(payload)
         if retry:
             self.retry_bytes += logical
             if self._ledger is not None:
                 self._ledger.add("stream.retry", logical)
-        else:
-            self.rows_sent += len(rows)
-            self._account_sent(logical)
-
-    def _account_sent(self, nbytes: int) -> None:
-        self.bytes_sent += nbytes
+            return
+        self.rows_sent += num_rows
+        self.bytes_sent += logical
         if self._ledger is not None:
-            self._ledger.add("stream.sent", nbytes)
+            self._ledger.add("stream.sent", logical)
             if not self.local:
-                self._ledger.add("stream.net", nbytes)
+                self._ledger.add("stream.net", logical)
 
     def close(self) -> None:
         """End of stream from the sender."""
-        self._buffer.close()
+        self.pipe.close()
 
     def abort(self, reason: str = "producer failed") -> None:
         """Fatal end of stream: the producer died mid-send, so receivers
         must get a typed :class:`ChannelAbortedError`, never the clean EOF
-        that would pass off the delivered prefix as a complete dataset."""
-        self._buffer.abort(reason)
+        that would pass off the delivered prefix as a complete dataset.
+        Sticky over a later :meth:`close`."""
+        self.pipe.abort(reason)
+
+    def cancel(self) -> None:
+        """Tell the receiver its session was cancelled (``cancel_session``
+        fans this out; the socket pipe sends a CANCEL control frame)."""
+        self.pipe.cancel()
 
     def release(self) -> None:
         """Free transfer resources at session teardown: pending rows are
-        dropped and any leftover spill file is deleted (``close_session``
-        calls this so finished *and* failed sessions leave no spill files)."""
-        self._buffer.discard()
+        dropped and any leftover spill is freed (``close_session`` calls
+        this so finished *and* failed sessions leave no spill files)."""
+        self.pipe.release()
         self._pending.clear()
 
     # ------------------------------------------------------------- ML side
 
-    def receive_block(self, timeout: float | None = 30.0) -> list[tuple] | None:
-        """Next RowBlock (possibly a one-row block from a per-row sender),
-        or None at end of stream.
+    def receive_frame(self, timeout: float | None = 30.0):
+        """Next frame in its native representation: a
+        :class:`~repro.columnar.batch.ColumnBatch` for columnar frames, a
+        row list otherwise, or None at end of stream.
 
         Sequenced frames are deduplicated here: a frame whose sequence
         number was already accepted is a §6 replay duplicate — dropped and
@@ -193,33 +206,7 @@ class StreamChannel:
             self._pending.clear()
             return rows
         while True:
-            payload = self._buffer.get(timeout=timeout)
-            if payload is None:
-                return None
-            seq, frame = split_seq_frame(payload)
-            if seq is not None:
-                if seq <= self._last_seq:
-                    self.duplicate_blocks += 1
-                    self.duplicate_bytes += block_logical_bytes(frame)
-                    continue
-                self._last_seq = seq
-            rows = decode_block(frame)
-            self.rows_received += len(rows)
-            self.bytes_received += block_logical_bytes(frame)
-            return rows
-
-    def receive_frame(self, timeout: float | None = 30.0):
-        """Next frame in its native representation: a
-        :class:`~repro.columnar.batch.ColumnBatch` for columnar frames, a
-        row list otherwise, or None at end of stream.  Same dedup and
-        counting as :meth:`receive_block` — columnar-aware receivers use
-        this to skip the rows pivot entirely."""
-        if self._pending:
-            rows = list(self._pending)
-            self._pending.clear()
-            return rows
-        while True:
-            payload = self._buffer.get(timeout=timeout)
+            payload = self.pipe.get(timeout)
             if payload is None:
                 return None
             seq, frame = split_seq_frame(payload)
@@ -237,6 +224,14 @@ class StreamChannel:
             self.rows_received += len(out)
             self.bytes_received += block_logical_bytes(frame)
             return out
+
+    def receive_block(self, timeout: float | None = 30.0) -> list[tuple] | None:
+        """Next RowBlock (possibly a one-row block from a per-row sender),
+        or None at end of stream: the rows view of :meth:`receive_frame`."""
+        frame = self.receive_frame(timeout)
+        if frame is None or isinstance(frame, list):
+            return frame
+        return frame.to_rows()
 
     def receive(self, timeout: float | None = 30.0) -> tuple | None:
         """Next row, or None at end of stream."""
@@ -256,5 +251,5 @@ class StreamChannel:
 
     @property
     def spilled_bytes(self) -> int:
-        """Bytes that overflowed to the spill region (backpressure events)."""
-        return self._buffer.spilled_bytes
+        """Bytes that overflowed the pipe's buffer (backpressure events)."""
+        return self.pipe.spilled_bytes

@@ -24,6 +24,7 @@ from repro.common.errors import (
 from repro.runtime.budget import Budget
 from repro.sim.clock import WALL
 from repro.transfer.channel import ChannelId, StreamChannel
+from repro.transfer.socket_channel import MuxSocketTransport
 
 DEFAULT_BUFFER_BYTES = 4096  # the paper's send/receive buffer setting
 DEFAULT_BATCH_ROWS = 256  # rows per RowBlock frame; 1 = seed's per-row wire
@@ -168,9 +169,9 @@ class Coordinator:
         #: per-session deadline applied when create_session names none
         self.retry_budget = retry_budget
         self.default_deadline_s = default_deadline_s
-        #: one shared mux socket pair per SQL worker (multi-tenant socket
-        #: transport only); sessions' channels ride it as tagged streams
-        self._mux_transports: dict[int, Any] = {}
+        #: one shared mux socket pair per SQL worker (socket transport);
+        #: every session's channels ride it as tagged streams
+        self._mux_transports: dict[int, MuxSocketTransport] = {}
         self._monitor = None  # LivenessMonitor | None
         self._sessions: dict[str, StreamSession] = {}
         #: session_id -> cancel reason for recently cancelled sessions, so a
@@ -544,15 +545,13 @@ class Coordinator:
             return False
         budget = session.budget
         first = budget.cancel(reason) if budget is not None else False
-        # Tell remote receivers over the shared mux wire (in-process and
-        # plain-socket channels are woken by the budget callbacks instead).
+        # Tell remote receivers over the shared mux wire (memory channels
+        # are woken by the budget callbacks instead; their cancel is a no-op).
         for channel in list(session.channels.values()):
-            cancel = getattr(channel, "cancel", None)
-            if cancel is not None:
-                try:
-                    cancel()
-                except TransferError:
-                    pass  # a torn-down wire just means nobody is listening
+            try:
+                channel.cancel()
+            except TransferError:
+                pass  # a torn-down wire just means nobody is listening
         with self._lock:
             if session.error is None and session.result is None:
                 session.error = SessionCancelled(
@@ -710,50 +709,23 @@ class Coordinator:
                         else None
                     )
                     local = self._ml_slot_is_local(session, worker_id, index)
-                    if self.transport == "socket" and self.admission is not None:
-                        # Multi-tenant socket transport: all sessions share
-                        # one mux pair per SQL worker; each channel is a tag.
-                        from repro.transfer.socket_channel import MuxSocketChannel
-
-                        session.channels[cid] = MuxSocketChannel(
-                            cid,
-                            self._mux_transport_for(worker_id, session),
-                            ledger=self.cluster.ledger,
-                            local=local,
-                            governor=self.spill_governor,
-                            tenant=session.tenant,
-                            receive_timeout_s=self.timeout_s,
-                            budget=session.budget,
-                            clock=self.clock,
-                        )
-                    elif self.transport == "socket":
-                        from repro.transfer.socket_channel import SocketStreamChannel
-
-                        session.channels[cid] = SocketStreamChannel(
-                            cid,
-                            buffer_bytes=session.buffer_bytes,
-                            ledger=self.cluster.ledger,
-                            local=local,
-                            receive_timeout_s=self.timeout_s,
-                            send_timeout_s=self.timeout_s,
-                            governor=self.spill_governor,
-                            tenant=session.tenant,
-                            budget=session.budget,
-                            clock=self.clock,
-                        )
-                    else:
-                        session.channels[cid] = StreamChannel(
-                            cid,
-                            buffer_bytes=session.buffer_bytes,
-                            ledger=self.cluster.ledger,
-                            spill_path=spill_path,
-                            local=local,
-                            governor=self.spill_governor,
-                            tenant=session.tenant,
-                            budget=session.budget,
-                            clock=self.clock,
-                            injector=self.fault_injector,
-                        )
+                    session.channels[cid] = StreamChannel(
+                        cid,
+                        buffer_bytes=session.buffer_bytes,
+                        ledger=self.cluster.ledger,
+                        spill_path=spill_path,
+                        local=local,
+                        governor=self.spill_governor,
+                        tenant=session.tenant,
+                        budget=session.budget,
+                        clock=self.clock,
+                        injector=self.fault_injector,
+                        mux=(
+                            self._mux_transport_for(worker_id, session)
+                            if self.transport == "socket"
+                            else None
+                        ),
+                    )
                     group.append(cid)
                     channel_ids.append(cid)
                     index += 1
@@ -770,8 +742,6 @@ class Coordinator:
         Caller holds ``self._lock`` (split planning)."""
         transport = self._mux_transports.get(sql_worker_id)
         if transport is None:
-            from repro.transfer.socket_channel import MuxSocketTransport
-
             transport = MuxSocketTransport(
                 buffer_bytes=session.buffer_bytes,
                 receive_timeout_s=self.timeout_s,

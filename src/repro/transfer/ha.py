@@ -154,6 +154,7 @@ class CoordinatorHAGroup:
         #: waits on this instead of polling, so election-gap waiters wake
         #: the instant the new term starts (and promptly on session cancel).
         self._leader_change = threading.Condition()
+        self._leader_generation = 0  # bumped by every notify of the above
         self._last_leader: Coordinator | None = None
         self.coordinators: list[Coordinator] = []
         for i in range(standbys + 1):
@@ -237,28 +238,37 @@ class CoordinatorHAGroup:
             else None
         )
         try:
-            with self._leader_change:
-                while True:
-                    leader = self.leader()
-                    if leader is not None:
-                        return leader
-                    if budget is not None:
-                        budget.check("leader wait")
-                    remaining = deadline - self.clock.now()
-                    if remaining <= 0:
-                        raise CoordinatorUnavailableError(
-                            "no coordinator holds the leader lease "
-                            f"(replicas: {[c.coordinator_id for c in self.coordinators]})"
-                        )
-                    self.clock.wait_on(
-                        self._leader_change, min(remaining, 0.05)
+            while True:
+                # Read the lease *outside* the condition: an election runs
+                # inside a ZooKeeper watch callback, holding the ZooKeeper
+                # lock while it notifies this condition, so asking
+                # ZooKeeper under the condition deadlocks against it.  The
+                # generation closes the lost-wakeup window in between.
+                with self._leader_change:
+                    generation = self._leader_generation
+                leader = self.leader()
+                if leader is not None:
+                    return leader
+                if budget is not None:
+                    budget.check("leader wait")
+                remaining = deadline - self.clock.now()
+                if remaining <= 0:
+                    raise CoordinatorUnavailableError(
+                        "no coordinator holds the leader lease "
+                        f"(replicas: {[c.coordinator_id for c in self.coordinators]})"
                     )
+                with self._leader_change:
+                    if self._leader_generation == generation:
+                        self.clock.wait_on(
+                            self._leader_change, min(remaining, 0.05)
+                        )
         finally:
             if dispose is not None:
                 dispose()
 
     def _notify_leader_change(self) -> None:
         with self._leader_change:
+            self._leader_generation += 1
             self._leader_change.notify_all()
 
     # ------------------------------------------------------------- election

@@ -1,15 +1,17 @@
-"""Socket-backed stream channels — §3's step 7 with real kernel sockets.
+"""The socket pipe of a stream channel — §3's step 7 with real kernel sockets.
 
 "Finally, the SQL workers and the ML workers establish the TCP socket
-connections, before the actual data transfer starts."  The default
-in-memory channel models that; this module *is* it: each channel owns a
-connected socket pair, the sender writes length-prefixed frames with a
-non-blocking socket whose send buffer is sized to the configured buffer
-bytes, and — exactly like the paper's design — a full send buffer does not
-block the SQL worker: the overflow spills locally and is flushed as the ML
-side drains.
+connections, before the actual data transfer starts."  The default memory
+pipe models that; this module *is* it.  Each SQL worker owns one connected
+socket pair (:class:`MuxSocketTransport`) and every channel fed by that
+worker — across all live sessions — rides it as one tagged stream
+(:class:`MuxPipe`), the way a real deployment shares one TCP connection per
+worker pair.  Senders write non-blocking into a kernel buffer sized to the
+configured buffer bytes and, exactly like the paper's design, a full send
+buffer does not block the SQL worker: the overflow queues locally (charged
+to ``stream.spilled``) and flushes as the ML side drains.
 
-Select the transport per coordinator: ``Coordinator(..., transport="socket")``.
+Select it per coordinator: ``Coordinator(..., transport="socket")``.
 """
 
 import itertools
@@ -17,399 +19,26 @@ import socket
 import struct
 import threading
 from collections import deque
-from collections.abc import Sequence
 
-from repro.cluster.cost import CostLedger
-from repro.common.errors import ChannelTimeoutError, SessionCancelled, TransferError
-from repro.sim.clock import WALL
-from repro.transfer.buffers import (
-    block_logical_bytes,
-    decode_block,
-    decode_col_block,
-    encode_block,
-    encode_col_block,
-    encode_row,
-    encode_seq_block,
-    is_columnar_frame,
-    split_seq_frame,
+from repro.common.errors import (
+    ChannelAbortedError,
+    ChannelTimeoutError,
+    SessionCancelled,
+    TransferError,
 )
-from repro.transfer.channel import ChannelId
-
-_FRAME = struct.Struct(">I")
-
-
-class SocketStreamChannel:
-    """Same interface as :class:`~repro.transfer.channel.StreamChannel`,
-    transported over a connected socket pair."""
-
-    def __init__(
-        self,
-        channel_id: ChannelId,
-        buffer_bytes: int = 4096,
-        ledger: CostLedger | None = None,
-        spill_path: str | None = None,  # kept for interface parity
-        local: bool = False,
-        receive_timeout_s: float = 30.0,
-        send_timeout_s: float = 30.0,
-        governor=None,
-        tenant: str = "default",
-        budget=None,
-        clock=None,  # repro.sim.clock.Clock | None — receive/flush timing
-    ):
-        self.channel_id = channel_id
-        self.local = local
-        self._ledger = ledger
-        self._clock = clock or WALL
-        # Multi-tenant backpressure isolation (see StreamChannel): the sender
-        # throttles against its tenant's spill budget; spilled bytes are
-        # charged on overflow and credited back as the overflow flushes.
-        self._governor = governor
-        self._tenant = tenant
-        self._governed = 0
-        # Per-session Budget: receive waits are clamped to its remaining
-        # time (sliced so a cancel is observed within ~100ms) and raise the
-        # typed DeadlineExceeded/SessionCancelled instead of the retryable
-        # flat-timeout error.  budget=None is the seed path, untouched.
-        self._budget = budget
-        self._receive_timeout_s = receive_timeout_s
-        send_sock, recv_sock = socket.socketpair()
-        send_sock.setblocking(False)
-        try:
-            send_sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, buffer_bytes)
-            recv_sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, buffer_bytes)
-        except OSError:
-            pass  # kernels clamp/deny; the overflow path still engages
-        recv_sock.settimeout(receive_timeout_s)
-        self._send_timeout_s = send_timeout_s
-        self._send_sock = send_sock
-        self._recv_sock = recv_sock
-        #: frames (or frame tails) the kernel buffer refused, FIFO
-        self._overflow: deque[bytes] = deque()
-        self._recv_buffer = b""
-        self._pending: deque[tuple] = deque()  # rows decoded but not yet read
-        self._closed = False
-        self.rows_sent = 0
-        self.bytes_sent = 0
-        self.rows_received = 0
-        self.bytes_received = 0
-        self.spilled_bytes = 0
-        #: §6 replay traffic and dedup counters (see StreamChannel)
-        self.retry_bytes = 0
-        self.duplicate_blocks = 0
-        self.duplicate_bytes = 0
-        self._last_seq = -1
-
-    # ------------------------------------------------------------ SQL side
-
-    def send_row(self, row: tuple) -> None:
-        self._send_payload(encode_row(row), num_rows=1)
-
-    def send_many(self, rows: Sequence[tuple]) -> None:
-        """Send a RowBlock as one length-prefixed frame."""
-        if not rows:
-            return
-        self._send_payload(encode_block(rows), num_rows=len(rows))
-
-    def send_block(self, rows: Sequence[tuple], seq: int, retry: bool = False) -> None:
-        """Send a sequenced RowBlock (§6 resilient path; see StreamChannel)."""
-        if not rows:
-            return
-        self._send_payload(encode_seq_block(rows, seq), num_rows=len(rows), retry=retry)
-
-    def send_col_batch(self, batch) -> None:
-        """Send a ColumnBatch as one columnar (``C``) frame (see
-        :meth:`StreamChannel.send_col_batch`)."""
-        if not len(batch):
-            return
-        self._send_payload(encode_col_block(batch), num_rows=len(batch))
-
-    def _send_payload(self, payload: bytes, num_rows: int, retry: bool = False) -> None:
-        if self._closed:
-            raise TransferError("send on a closed channel")
-        if self._governor is not None:
-            self._governor.throttle(self._tenant, budget=self._budget)
-        frame = _FRAME.pack(len(payload)) + payload
-        self._flush_overflow(blocking=False)
-        if self._overflow:
-            # strict FIFO: once anything is queued, new frames queue too
-            self._spill(frame)
-        else:
-            sent = self._try_send(frame)
-            if sent < len(frame):
-                self._spill(frame[sent:])
-        logical = block_logical_bytes(payload)
-        if retry:
-            self.retry_bytes += logical
-            if self._ledger is not None:
-                self._ledger.add("stream.retry", logical)
-            return
-        self.rows_sent += num_rows
-        self.bytes_sent += logical
-        if self._ledger is not None:
-            self._ledger.add("stream.sent", logical)
-            if not self.local:
-                self._ledger.add("stream.net", logical)
-
-    def close(self) -> None:
-        """Flush any overflow (blocking — the reader is draining), then
-        signal EOF by shutting down the write side."""
-        if self._closed:
-            return
-        self._flush_overflow(blocking=True)
-        self._closed = True
-        try:
-            self._send_sock.shutdown(socket.SHUT_WR)
-        except OSError:
-            pass
-        self._send_sock.close()
-
-    def release(self) -> None:
-        """Free both socket ends at session teardown (no blocking flush:
-        a failed session's unread bytes are dropped, not delivered)."""
-        self._closed = True
-        self._credit_governor(self._governed)
-        self._overflow.clear()
-        self._pending.clear()
-        for sock in (self._send_sock, self._recv_sock):
-            try:
-                sock.close()
-            except OSError:
-                pass
-
-    def _try_send(self, data: bytes) -> int:
-        try:
-            return self._send_sock.send(data)
-        except BlockingIOError:
-            return 0
-
-    def _spill(self, data: bytes) -> None:
-        self._overflow.append(data)
-        self.spilled_bytes += len(data)
-        if self._ledger is not None:
-            self._ledger.add("stream.spilled", len(data))
-        if self._governor is not None:
-            self._governor.charge(self._tenant, len(data))
-            self._governed += len(data)
-
-    def _credit_governor(self, nbytes: int) -> None:
-        if self._governor is not None and nbytes > 0:
-            self._governor.credit(self._tenant, nbytes)
-            self._governed = max(self._governed - nbytes, 0)
-
-    def _flush_overflow(self, blocking: bool) -> None:
-        while self._overflow:
-            head = self._overflow[0]
-            sent = self._try_send(head)
-            if sent == len(head):
-                self._overflow.popleft()
-                self._credit_governor(sent)
-                continue
-            if sent:
-                self._overflow[0] = head[sent:]
-                self._credit_governor(sent)
-            if not blocking:
-                return
-            if self._clock.is_virtual:
-                # Virtual time: never block the real socket — poll it in
-                # clock slices so the reader thread gets scheduled between
-                # attempts and the timeout burns virtual, not wall, time.
-                self._drain_overflow_virtual()
-                return
-            # Blocking flush: wait for the kernel buffer to drain, with a
-            # timeout so a dead reader surfaces as an error, not a hang.
-            self._send_sock.settimeout(self._send_timeout_s)
-            try:
-                remaining = self._overflow.popleft()
-                self._send_sock.sendall(remaining)
-                self._credit_governor(len(remaining))
-            except socket.timeout:
-                raise ChannelTimeoutError(
-                    f"channel {self.channel_id} flush timed out after "
-                    f"{self._send_timeout_s}s (reader gone?)"
-                ) from None
-            finally:
-                self._send_sock.setblocking(False)
-
-    def _drain_overflow_virtual(self) -> None:
-        deadline = self._clock.now() + self._send_timeout_s
-        while self._overflow:
-            head = self._overflow[0]
-            sent = self._try_send(head)
-            if sent == len(head):
-                self._overflow.popleft()
-                self._credit_governor(sent)
-                continue
-            if sent:
-                self._overflow[0] = head[sent:]
-                self._credit_governor(sent)
-            if self._clock.now() >= deadline:
-                raise ChannelTimeoutError(
-                    f"channel {self.channel_id} flush timed out after "
-                    f"{self._send_timeout_s}s (reader gone?)"
-                )
-            self._clock.sleep(0.001)
-
-    # ------------------------------------------------------------- ML side
-
-    def receive_block(self, timeout: float | None = None) -> list[tuple] | None:
-        """Next RowBlock (a one-row block when the sender used per-row
-        frames), or None at end of stream.  Sequenced frames whose number
-        was already accepted are §6 replay duplicates: dropped and counted."""
-        if self._pending:
-            rows = list(self._pending)
-            self._pending.clear()
-            return rows
-        deadline = self._arm_receive(timeout)
-        while True:
-            header = self._read_exact(_FRAME.size, deadline)
-            if header is None:
-                return None
-            (length,) = _FRAME.unpack(header)
-            payload = self._read_exact(length, deadline)
-            if payload is None:
-                raise TransferError(
-                    f"channel {self.channel_id} truncated mid-frame "
-                    f"(expected {length} payload bytes)"
-                )
-            seq, frame = split_seq_frame(payload)
-            if seq is not None:
-                if seq <= self._last_seq:
-                    self.duplicate_blocks += 1
-                    self.duplicate_bytes += block_logical_bytes(frame)
-                    continue
-                self._last_seq = seq
-            rows = decode_block(frame)
-            self.rows_received += len(rows)
-            self.bytes_received += block_logical_bytes(frame)
-            return rows
-
-    def receive_frame(self, timeout: float | None = None):
-        """Next frame in its native representation: a ColumnBatch for
-        columnar frames, a row list otherwise, None at EOF (see
-        :meth:`StreamChannel.receive_frame`)."""
-        if self._pending:
-            rows = list(self._pending)
-            self._pending.clear()
-            return rows
-        deadline = self._arm_receive(timeout)
-        while True:
-            header = self._read_exact(_FRAME.size, deadline)
-            if header is None:
-                return None
-            (length,) = _FRAME.unpack(header)
-            payload = self._read_exact(length, deadline)
-            if payload is None:
-                raise TransferError(
-                    f"channel {self.channel_id} truncated mid-frame "
-                    f"(expected {length} payload bytes)"
-                )
-            seq, frame = split_seq_frame(payload)
-            if seq is not None:
-                if seq <= self._last_seq:
-                    self.duplicate_blocks += 1
-                    self.duplicate_bytes += block_logical_bytes(frame)
-                    continue
-                self._last_seq = seq
-            out = (
-                decode_col_block(frame)
-                if is_columnar_frame(frame)
-                else decode_block(frame)
-            )
-            self.rows_received += len(out)
-            self.bytes_received += block_logical_bytes(frame)
-            return out
-
-    def receive(self, timeout: float | None = None) -> tuple | None:
-        if not self._pending:
-            block = self.receive_block(timeout=timeout)
-            if block is None:
-                return None
-            self._pending.extend(block)
-        return self._pending.popleft()
-
-    def __iter__(self):
-        while True:
-            block = self.receive_block()
-            if block is None:
-                return
-            yield from block
-
-    def _arm_receive(self, timeout: float | None) -> float | None:
-        """Prepare one receive call: seed path sets the socket timeout and
-        returns None; budget (or virtual-clock) path returns the absolute
-        clock deadline (min of flat timeout and budget remaining) for
-        sliced reads."""
-        if self._budget is None and not self._clock.is_virtual:
-            if timeout is not None:
-                self._recv_sock.settimeout(timeout)
-            return None
-        base = timeout if timeout is not None else self._receive_timeout_s
-        bound = base if self._budget is None else self._budget.clamp(base)
-        return None if bound is None else self._clock.now() + bound
-
-    def _recv_slice(self, slice_s: float) -> bytes | None:
-        """One bounded receive attempt; None when the slice elapsed idle."""
-        if self._clock.is_virtual:
-            self._recv_sock.setblocking(False)
-            try:
-                return self._recv_sock.recv(65536)
-            except BlockingIOError:
-                self._clock.sleep(max(slice_s, 0.001))
-                return None
-        self._recv_sock.settimeout(max(slice_s, 0.001))
-        try:
-            return self._recv_sock.recv(65536)
-        except socket.timeout:
-            return None
-
-    def _read_exact(self, n: int, deadline: float | None = None) -> bytes | None:
-        while len(self._recv_buffer) < n:
-            if self._budget is not None or self._clock.is_virtual:
-                # Sliced reads (<=100ms) so a cancel or expiry is observed
-                # promptly even while the socket is idle.
-                if self._budget is not None:
-                    self._budget.check(f"channel {self.channel_id} receive")
-                slice_s = 0.1
-                if deadline is not None:
-                    remaining = deadline - self._clock.now()
-                    if remaining <= 0:
-                        raise ChannelTimeoutError(
-                            f"channel {self.channel_id} receive timed out"
-                        )
-                    slice_s = min(slice_s, remaining)
-                chunk = self._recv_slice(slice_s)
-                if chunk is None:
-                    continue
-            else:
-                try:
-                    chunk = self._recv_sock.recv(65536)
-                except socket.timeout:
-                    raise ChannelTimeoutError(
-                        f"channel {self.channel_id} receive timed out"
-                    ) from None
-            if not chunk:
-                if self._recv_buffer:
-                    raise TransferError(
-                        f"channel {self.channel_id} closed mid-frame"
-                    )
-                return None  # clean EOF
-            self._recv_buffer += chunk
-        data, self._recv_buffer = self._recv_buffer[:n], self._recv_buffer[n:]
-        return data
-
-
-# --------------------------------------------------------------------------
-# Channel multiplexing: many sessions, one socket pair per SQL worker.
-# --------------------------------------------------------------------------
+from repro.sim.clock import WALL
 
 _MUX_FRAME = struct.Struct(">II")  # (payload length, tag)
 
 #: Reserved tag for in-band control frames.  A control frame's payload is a
-#: single big-endian u32 naming the *target* data tag; today the only verb
-#: is CANCEL (cooperative cancellation broadcast by ``cancel_session``).
-#: ``new_tag`` counts up from 0, so real tags never collide with it.
+#: verb byte and a big-endian u32 naming the *target* data tag, followed
+#: (ABORT only) by the UTF-8 abort reason.  CANCEL is cooperative
+#: cancellation broadcast by ``cancel_session``; ABORT is a producer's fatal
+#: end of stream.  ``new_tag`` counts up from 0, so real tags never collide
+#: with it.
 _CONTROL_TAG = 0xFFFFFFFF
-_CONTROL_PAYLOAD = struct.Struct(">I")
+_CONTROL = struct.Struct(">BI")  # (verb, target tag)
+_CANCEL, _ABORT = 0, 1
 
 
 class MuxSocketTransport:
@@ -469,7 +98,7 @@ class MuxSocketTransport:
         self._transport_closed = False
         #: Notified whenever the wire may have drained (the receive pump
         #: freed kernel buffer space) or a flush should give up (tag
-        #: released/cancelled, transport closed, session cancelled):
+        #: released/cancelled/aborted, transport closed, session cancelled):
         #: ``close_tag`` waits here instead of busy-polling.
         self._drain_cond = threading.Condition()
         # receive side
@@ -479,6 +108,7 @@ class MuxSocketTransport:
         self._eof: set[int] = set()
         self._released: set[int] = set()
         self._cancelled: set[int] = set()  # tags with a received CANCEL
+        self._aborted: dict[int, str] = {}  # tag -> reason of its ABORT
         self._stream_eof = False
         self._rbuf = b""
 
@@ -588,21 +218,46 @@ class MuxSocketTransport:
         the frame demuxes: blocked and future ``recv`` calls on it raise
         :class:`SessionCancelled` instead of draining to EOF.  Never blocks —
         the frame rides the control queue, which outranks data backlogs."""
-        frame = _MUX_FRAME.pack(
-            _CONTROL_PAYLOAD.size, _CONTROL_TAG
-        ) + _CONTROL_PAYLOAD.pack(tag)
+        self._signal(_CANCEL, tag)
+
+    def abort_tag(self, tag: int, reason: str) -> None:
+        """Poison ``tag``: the producer died mid-send.  Blocked and future
+        ``recv`` calls on it raise :class:`ChannelAbortedError` instead of
+        draining to EOF, so a truncated stream never passes for a complete
+        one.  Sticky — a later ``close_tag`` is a no-op — and idempotent.
+        The tag's queued frames are dropped (nobody will deliver them), so a
+        concurrent ``close_tag`` flush cannot wait on them either."""
         with self._send_lock:
-            if self._transport_closed:
-                return
-            self._control.append(frame)
-            self._pump_locked()
+            self._closed_tags.add(tag)
+            queue = self._overflow.get(tag)
+            if queue:
+                self._credit(tag, sum(len(f) for f in queue))
+                queue.clear()
+        self._signal(_ABORT, tag, reason)
+
+    def _signal(self, verb: int, tag: int, reason: str = "") -> None:
+        """Send one control frame (never blocks: it rides the control
+        queue, which outranks data backlogs) and apply it locally."""
+        body = _CONTROL.pack(verb, tag) + reason.encode()
+        frame = _MUX_FRAME.pack(len(body), _CONTROL_TAG) + body
+        with self._send_lock:
+            if not self._transport_closed:
+                self._control.append(frame)
+                self._pump_locked()
         # Local fast path: the receive pump may be idle (no reader pulling
         # the socket right now); mark the tag directly so waiters wake even
         # before the wire frame demuxes.
         with self._recv_cond:
-            self._cancelled.add(tag)
+            self._apply_control(verb, tag, reason)
             self._recv_cond.notify_all()
         self._notify_drain()
+
+    def _apply_control(self, verb: int, tag: int, reason: str) -> None:
+        """Record a control verb.  Caller holds ``_recv_cond``."""
+        if verb == _CANCEL:
+            self._cancelled.add(tag)
+        else:
+            self._aborted.setdefault(tag, reason)
 
     def close_tag(self, tag: int, budget=None) -> None:
         """Flush the tag's queue and write its EOF frame (bounded wait).
@@ -701,6 +356,10 @@ class MuxSocketTransport:
         deadline = self._clock.now() + effective
         while True:
             with self._recv_cond:
+                if tag in self._aborted:
+                    raise ChannelAbortedError(
+                        f"stream aborted: {self._aborted[tag]}"
+                    )
                 if tag in self._cancelled:
                     raise SessionCancelled(
                         f"mux tag {tag} cancelled by coordinator CANCEL frame"
@@ -762,10 +421,9 @@ class MuxSocketTransport:
                 payload = self._rbuf[_MUX_FRAME.size : _MUX_FRAME.size + length]
                 self._rbuf = self._rbuf[_MUX_FRAME.size + length :]
                 if frame_tag == _CONTROL_TAG:
-                    # CANCEL verb: payload names the target data tag.
-                    if length == _CONTROL_PAYLOAD.size:
-                        (target,) = _CONTROL_PAYLOAD.unpack(payload)
-                        self._cancelled.add(target)
+                    verb, target = _CONTROL.unpack_from(payload)
+                    reason = payload[_CONTROL.size :].decode()
+                    self._apply_control(verb, target, reason)
                 elif length == 0:
                     self._eof.add(frame_tag)
                 elif frame_tag not in self._released:
@@ -775,120 +433,54 @@ class MuxSocketTransport:
         self._notify_drain()
 
 
-class MuxSocketChannel:
-    """A :class:`StreamChannel`-interface channel riding one tag of a shared
-    :class:`MuxSocketTransport`.
 
-    Identical accounting to :class:`SocketStreamChannel` — logical bytes to
-    ``stream.sent``/``stream.net``, queued bytes to ``stream.spilled``,
-    replay traffic to ``stream.retry`` with receiver-side sequence dedup —
-    but N concurrent sessions cost one socket pair per SQL worker instead
-    of one per channel."""
+
+class MuxPipe:
+    """One tag of a :class:`MuxSocketTransport`, as a stream channel's pipe.
+
+    The pipe interface is the one :class:`~repro.transfer.buffers.SpillableBuffer`
+    offers the memory transport — ``put``/``get``/``close``/``abort``/
+    ``release``/``cancel`` plus ``spilled_bytes`` — so one
+    :class:`~repro.transfer.channel.StreamChannel` runs over either.  Frames
+    the kernel buffer refuses queue on the transport and are charged to
+    ``stream.spilled`` here, as the memory pipe charges its spill.
+    """
 
     def __init__(
         self,
-        channel_id: ChannelId,
         transport: MuxSocketTransport,
-        ledger: CostLedger | None = None,
-        local: bool = False,
+        ledger=None,
         governor=None,
         tenant: str = "default",
-        receive_timeout_s: float | None = None,
         budget=None,
         clock=None,  # repro.sim.clock.Clock | None — receive-slice timing
     ):
-        self.channel_id = channel_id
-        self.local = local
+        #: the shared socket pair this pipe's tag rides
+        self.transport = transport
         self._ledger = ledger
         self._clock = clock or WALL
-        self._transport = transport
-        self._governor = governor
-        self._tenant = tenant
-        self._receive_timeout_s = receive_timeout_s
         # Per-session Budget: receives derive from its remaining time (in
         # <=100ms slices so cancel/expiry surface promptly) and teardown
         # never blocks flushing toward a cancelled reader.
         self._budget = budget
         self._tag = transport.new_tag(governor=governor, tenant=tenant)
-        self._pending: deque[tuple] = deque()
-        self._closed = False
-        self.rows_sent = 0
-        self.bytes_sent = 0
-        self.rows_received = 0
-        self.bytes_received = 0
         self.spilled_bytes = 0
-        self.retry_bytes = 0
-        self.duplicate_blocks = 0
-        self.duplicate_bytes = 0
-        self._last_seq = -1
 
-    # ------------------------------------------------------------ SQL side
-
-    def send_row(self, row: tuple) -> None:
-        self._send_payload(encode_row(row), num_rows=1)
-
-    def send_many(self, rows: Sequence[tuple]) -> None:
-        if not rows:
-            return
-        self._send_payload(encode_block(rows), num_rows=len(rows))
-
-    def send_block(self, rows: Sequence[tuple], seq: int, retry: bool = False) -> None:
-        if not rows:
-            return
-        self._send_payload(encode_seq_block(rows, seq), num_rows=len(rows), retry=retry)
-
-    def send_col_batch(self, batch) -> None:
-        if not len(batch):
-            return
-        self._send_payload(encode_col_block(batch), num_rows=len(batch))
-
-    def _send_payload(self, payload: bytes, num_rows: int, retry: bool = False) -> None:
-        if self._closed:
-            raise TransferError("send on a closed channel")
-        if self._governor is not None:
-            self._governor.throttle(self._tenant, budget=self._budget)
-        queued = self._transport.send(self._tag, payload)
+    def put(self, payload: bytes) -> None:
+        queued = self.transport.send(self._tag, payload)
         if queued:
             self.spilled_bytes += queued
             if self._ledger is not None:
                 self._ledger.add("stream.spilled", queued)
-        logical = block_logical_bytes(payload)
-        if retry:
-            self.retry_bytes += logical
-            if self._ledger is not None:
-                self._ledger.add("stream.retry", logical)
-            return
-        self.rows_sent += num_rows
-        self.bytes_sent += logical
-        if self._ledger is not None:
-            self._ledger.add("stream.sent", logical)
-            if not self.local:
-                self._ledger.add("stream.net", logical)
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._transport.close_tag(self._tag, budget=self._budget)
-
-    def cancel(self) -> None:
-        """Broadcast the CANCEL control frame for this channel's tag
-        (``cancel_session`` fans this out over every mux channel)."""
-        self._transport.cancel_tag(self._tag)
-
-    def release(self) -> None:
-        self._closed = True
-        self._pending.clear()
-        self._transport.release_tag(self._tag)
-
-    # ------------------------------------------------------------- ML side
-
-    def _recv_payload(self, effective: float | None) -> bytes | None:
+    def get(self, timeout: float | None) -> bytes | None:
+        """Next payload, or None at EOF; ``timeout=None`` takes the
+        transport's receive timeout."""
         if self._budget is None:
-            return self._transport.recv(self._tag, timeout=effective)
-        if effective is None:
-            effective = self._transport.receive_timeout_s
-        bound = self._budget.clamp(effective)
+            return self.transport.recv(self._tag, timeout=timeout)
+        if timeout is None:
+            timeout = self.transport.receive_timeout_s
+        bound = self._budget.clamp(timeout)
         deadline = None if bound is None else self._clock.now() + bound
         while True:
             self._budget.check(f"mux tag {self._tag} receive")
@@ -901,66 +493,18 @@ class MuxSocketChannel:
                     )
                 slice_s = min(slice_s, remaining)
             try:
-                return self._transport.recv(self._tag, timeout=slice_s)
+                return self.transport.recv(self._tag, timeout=slice_s)
             except ChannelTimeoutError:
                 continue  # slice elapsed; re-check budget and flat deadline
 
-    def _next_frame(self, timeout: float | None):
-        effective = timeout if timeout is not None else self._receive_timeout_s
-        while True:
-            payload = self._recv_payload(effective)
-            if payload is None:
-                return None
-            seq, frame = split_seq_frame(payload)
-            if seq is not None:
-                if seq <= self._last_seq:
-                    self.duplicate_blocks += 1
-                    self.duplicate_bytes += block_logical_bytes(frame)
-                    continue
-                self._last_seq = seq
-            return frame
+    def close(self) -> None:
+        self.transport.close_tag(self._tag, budget=self._budget)
 
-    def receive_block(self, timeout: float | None = None) -> list[tuple] | None:
-        if self._pending:
-            rows = list(self._pending)
-            self._pending.clear()
-            return rows
-        frame = self._next_frame(timeout)
-        if frame is None:
-            return None
-        rows = decode_block(frame)
-        self.rows_received += len(rows)
-        self.bytes_received += block_logical_bytes(frame)
-        return rows
+    def abort(self, reason: str = "producer failed") -> None:
+        self.transport.abort_tag(self._tag, reason)
 
-    def receive_frame(self, timeout: float | None = None):
-        if self._pending:
-            rows = list(self._pending)
-            self._pending.clear()
-            return rows
-        frame = self._next_frame(timeout)
-        if frame is None:
-            return None
-        out = (
-            decode_col_block(frame)
-            if is_columnar_frame(frame)
-            else decode_block(frame)
-        )
-        self.rows_received += len(out)
-        self.bytes_received += block_logical_bytes(frame)
-        return out
+    def cancel(self) -> None:
+        self.transport.cancel_tag(self._tag)
 
-    def receive(self, timeout: float | None = None) -> tuple | None:
-        if not self._pending:
-            block = self.receive_block(timeout=timeout)
-            if block is None:
-                return None
-            self._pending.extend(block)
-        return self._pending.popleft()
-
-    def __iter__(self):
-        while True:
-            block = self.receive_block()
-            if block is None:
-                return
-            yield from block
+    def release(self) -> None:
+        self.transport.release_tag(self._tag)

@@ -257,10 +257,10 @@ class StreamTransferUDF(TableUDF):
         recovery = coordinator.recovery
         injector = recovery.injector
         budget = coordinator.session(session_id).budget
-        partition = list(rows)
-        blocks = plan_blocks(partition, len(channels), batch_rows)
         epoch = 0
         try:
+            partition = list(rows)
+            blocks = plan_blocks(partition, len(channels), batch_rows)
             while True:
                 try:
                     rows_streamed = 0

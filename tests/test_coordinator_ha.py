@@ -152,6 +152,35 @@ class TestLeaderElection:
             stale_store.record_status("s", "launched")
         assert group.zk.get(EPOCH_PATH)[0] == b"2"
 
+    def test_election_notify_never_deadlocks_a_leader_waiter(self, monkeypatch):
+        """An election notifies leader waiters from inside a ZooKeeper watch
+        callback, i.e. while holding the ZooKeeper lock.  A waiter that
+        asked ZooKeeper for the lease while holding the leader-change
+        condition used to deadlock against it (ABBA)."""
+        group = make_group(standbys=1)
+        asking = threading.Event()
+        exists = group.zk.exists
+
+        def traced_exists(path):
+            asking.set()
+            return exists(path)
+
+        monkeypatch.setattr(group.zk, "exists", traced_exists)
+        waiter = threading.Thread(target=group.await_leader, daemon=True)
+        notified = threading.Event()
+
+        def election():
+            with group.zk._lock:  # as inside a watch callback
+                waiter.start()
+                asking.wait(5.0)  # the waiter is now blocked on the ZK lock
+                group._notify_leader_change()
+                notified.set()
+
+        threading.Thread(target=election, daemon=True).start()
+        assert notified.wait(5.0), "election notify deadlocked with await_leader"
+        waiter.join(5.0)
+        assert not waiter.is_alive()
+
 
 # --------------------------------------------------------------------------
 # Journaled takeover: control state from ZK, data plane re-attached

@@ -13,7 +13,6 @@ from repro.transfer.admission import (
     SpillGovernor,
     WorkerPoolScheduler,
 )
-from repro.transfer.socket_channel import MuxSocketChannel
 from repro.workloads.loadgen import (
     BASE_SEED,
     make_points_table,
@@ -285,9 +284,10 @@ class TestMultitenantServing:
         deployment.coordinator.wait_result("probe")
         session = deployment.coordinator.session("probe")
         assert session.channels
-        assert all(
-            isinstance(c, MuxSocketChannel) for c in session.channels.values()
-        )
+        # Every channel is a tag on its SQL worker's one shared mux pair.
+        transports = deployment.coordinator._mux_transports
+        for cid, channel in session.channels.items():
+            assert channel.pipe.transport is transports[cid.sql_worker_id]
         deployment.coordinator.close_session("probe")
 
     def test_worker_kill_recovers_only_the_affected_session(self):

@@ -15,13 +15,14 @@ from repro.common.errors import TransferError
 from repro.sql.types import DataType, Schema
 from repro.transfer.buffers import (
     SpillableBuffer,
+    block_logical_bytes,
     decode_block,
     decode_row,
     encode_block,
     encode_row,
 )
 from repro.transfer.channel import ChannelId, StreamChannel
-from repro.transfer.socket_channel import SocketStreamChannel
+from repro.transfer.socket_channel import MuxSocketTransport
 from repro.workloads import generate_retail
 
 
@@ -43,6 +44,15 @@ class TestBlockCodec:
 
     def test_empty_block(self):
         assert decode_block(encode_block([])) == []
+
+    def test_unrecognised_frame_is_rejected(self):
+        # No encoder emits a frame without a known leading marker.
+        with pytest.raises(TransferError, match="unrecognised frame"):
+            decode_block(b"\x00" * 8 + encode_row((1,)))
+
+    def test_opaque_records_charge_their_wire_length(self):
+        record = b"opaque broker record"
+        assert block_logical_bytes(record) == len(record)
 
 
 class TestSpillBoundaryMidBlock:
@@ -133,7 +143,9 @@ class TestMixedBlockSizes:
         assert channel.rows_received == len(self._expected())
 
     def test_socket_channel_iterates_in_order(self):
-        channel = SocketStreamChannel(ChannelId(2, 0), buffer_bytes=2048, local=True)
+        channel = StreamChannel(
+            ChannelId(2, 0), local=True, mux=MuxSocketTransport(buffer_bytes=2048)
+        )
         received: list[tuple] = []
         reader = threading.Thread(target=lambda: received.extend(channel))
         reader.start()
@@ -144,21 +156,18 @@ class TestMixedBlockSizes:
     def test_socket_channel_blocks_spill_past_kernel_buffer(self):
         """Big blocks against a tiny kernel buffer engage the overflow path
         without tearing frames."""
-        channel = SocketStreamChannel(ChannelId(2, 1), buffer_bytes=512, local=True)
+        channel = StreamChannel(
+            ChannelId(2, 1), local=True, mux=MuxSocketTransport(buffer_bytes=512)
+        )
         blocks = [_rows(50, f"k{i}") for i in range(10)]
+        # No reader yet: sends never block, the overflow queues instead.
+        for block in blocks:
+            channel.send_many(block)
+        assert channel.spilled_bytes > 0
         received: list[tuple] = []
         reader = threading.Thread(target=lambda: received.extend(channel))
-
-        def produce():
-            for block in blocks:
-                channel.send_many(block)
-            channel.close()
-
-        producer = threading.Thread(target=produce)
-        producer.start()
-        # Let the sender hit the full kernel buffer before draining starts.
-        producer.join(timeout=10)
         reader.start()
+        channel.close()  # flushes the overflow as the reader drains it
         reader.join(timeout=10)
         assert received == [row for block in blocks for row in block]
 

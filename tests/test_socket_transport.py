@@ -1,4 +1,4 @@
-"""Socket-backed stream channels: framing, backpressure, e2e transfer."""
+"""Socket-transport stream channels: framing, backpressure, e2e transfer."""
 
 import threading
 
@@ -7,13 +7,20 @@ import pytest
 from repro import make_deployment
 from repro.common.errors import TransferError
 from repro.sql.types import DataType, Schema
-from repro.transfer.channel import ChannelId
-from repro.transfer.socket_channel import SocketStreamChannel
+from repro.transfer.channel import ChannelId, StreamChannel
+from repro.transfer.socket_channel import MuxSocketTransport
+
+
+def socket_channel(channel_id: ChannelId, buffer_bytes: int = 4096, **kwargs):
+    """A stream channel on the socket pipe: one tag of its own mux pair."""
+    return StreamChannel(
+        channel_id, mux=MuxSocketTransport(buffer_bytes=buffer_bytes), **kwargs
+    )
 
 
 class TestSocketChannelUnit:
     def test_send_receive_roundtrip(self):
-        channel = SocketStreamChannel(ChannelId(0, 0), buffer_bytes=65536)
+        channel = socket_channel(ChannelId(0, 0), buffer_bytes=65536)
         rows = [(i, f"value-{i}", i * 0.5, None) for i in range(100)]
         for row in rows:
             channel.send_row(row)
@@ -23,7 +30,7 @@ class TestSocketChannelUnit:
         assert channel.bytes_sent == channel.bytes_received > 0
 
     def test_eof_after_close(self):
-        channel = SocketStreamChannel(ChannelId(0, 1))
+        channel = socket_channel(ChannelId(0, 1))
         channel.send_row((1,))
         channel.close()
         assert channel.receive() == (1,)
@@ -31,7 +38,7 @@ class TestSocketChannelUnit:
         assert channel.receive() is None  # repeated EOF stays EOF
 
     def test_send_after_close_rejected(self):
-        channel = SocketStreamChannel(ChannelId(0, 2))
+        channel = socket_channel(ChannelId(0, 2))
         channel.close()
         with pytest.raises(TransferError):
             channel.send_row((1,))
@@ -39,7 +46,7 @@ class TestSocketChannelUnit:
     def test_backpressure_spills_without_blocking(self):
         """A tiny kernel buffer and no reader: the sender must keep going,
         spilling overflow locally like the paper requires."""
-        channel = SocketStreamChannel(ChannelId(1, 0), buffer_bytes=2048)
+        channel = socket_channel(ChannelId(1, 0), buffer_bytes=2048)
         big_row = ("x" * 512,)
         for _ in range(200):  # far beyond any kernel buffer rounding
             channel.send_row(big_row)
@@ -53,12 +60,12 @@ class TestSocketChannelUnit:
         assert len(received) == 200
 
     def test_receive_timeout(self):
-        channel = SocketStreamChannel(ChannelId(2, 0), receive_timeout_s=0.05)
+        channel = socket_channel(ChannelId(2, 0))
         with pytest.raises(TransferError, match="timed out"):
-            channel.receive()
+            channel.receive(timeout=0.05)
 
     def test_concurrent_producer_consumer(self):
-        channel = SocketStreamChannel(ChannelId(3, 0), buffer_bytes=4096)
+        channel = socket_channel(ChannelId(3, 0), buffer_bytes=4096)
         rows = [(i, "payload" * (i % 5)) for i in range(3000)]
         received = []
 
