@@ -34,7 +34,9 @@ mismatch instead of silently corrupting values.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -47,6 +49,17 @@ _NUMPY_DTYPE = {
     DataType.BOOLEAN: np.bool_,
     DataType.VARCHAR: np.int32,  # dictionary codes
 }
+
+
+#: The exact Python types of values each SQL type stores without _coerce.
+_EXACT_TYPES = {
+    DataType.INT: {int},
+    DataType.BIGINT: {int},
+    DataType.DOUBLE: {float, int},
+    DataType.BOOLEAN: {bool},
+    DataType.VARCHAR: {str},
+}
+_NONE_TYPE = type(None)
 
 
 def _coerce(dtype: DataType, value):
@@ -85,36 +98,34 @@ class ColumnVector:
         cannot represent faithfully — callers fall back to rows.
         """
         n = len(values)
-        if n:
-            # Fast path: a clean, NULL-free column skips per-value _coerce.
-            # ``type(v) is`` (not isinstance) keeps _coerce's strictness —
-            # bool is not an INT and not a DOUBLE operand here; mixed or
-            # NULL-bearing columns take the per-value path below.
+        kinds = set(map(type, values))
+        nullable = _NONE_TYPE in kinds
+        kinds.discard(_NONE_TYPE)
+        # Fast path: every non-NULL value has exactly a storable type.
+        # ``type(v)`` (not isinstance) keeps _coerce's strictness — bool is
+        # not an INT and not a DOUBLE operand here; any other column takes
+        # the per-value path below.
+        if kinds <= _EXACT_TYPES[dtype]:
             if dtype is DataType.VARCHAR:
-                if all(type(v) is str for v in values):
-                    positions: dict[str, int] = {}
-                    setdefault = positions.setdefault
-                    codes = np.fromiter(
-                        (setdefault(v, len(positions)) for v in values),
-                        dtype=np.int32,
-                        count=n,
-                    )
-                    return cls(
-                        dtype, codes, np.ones(n, dtype=np.bool_), list(positions)
-                    )
+                # dict.fromkeys keeps first-occurrence order; NULL maps to -1.
+                words = dict.fromkeys(values)
+                words.pop(None, None)
+                positions = {word: i for i, word in enumerate(words)}
+                positions[None] = -1
+                codes = np.fromiter(
+                    map(positions.__getitem__, values), dtype=np.int32, count=n
+                )
+                return cls(dtype, codes, codes >= 0, list(words))
+            if not nullable:
+                valid = np.ones(n, dtype=np.bool_)
             else:
-                if dtype is DataType.DOUBLE:
-                    clean = all(type(v) in (float, int) for v in values)
-                elif dtype is DataType.BOOLEAN:
-                    clean = all(type(v) is bool for v in values)
-                else:
-                    clean = all(type(v) is int for v in values)
-                if clean:
-                    return cls(
-                        dtype,
-                        np.array(values, dtype=_NUMPY_DTYPE[dtype]),
-                        np.ones(n, dtype=np.bool_),
-                    )
+                valid = np.fromiter(
+                    map(operator.is_not, values, repeat(None)), dtype=np.bool_, count=n
+                )
+                zero = False if dtype is DataType.BOOLEAN else 0
+                values = [zero if v is None else v for v in values]
+            data = np.fromiter(values, dtype=_NUMPY_DTYPE[dtype], count=n)
+            return cls(dtype, data, valid)
         valid = np.fromiter((v is not None for v in values), dtype=np.bool_, count=n)
         if dtype is DataType.VARCHAR:
             dictionary: list[str] = []

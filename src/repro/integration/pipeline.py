@@ -712,14 +712,12 @@ class AnalyticsPipeline:
     def _run_ml_from_dfs(
         self, command: str, args: dict | None, conf: JobConf, input_bytes: int
     ) -> tuple[MLJobResult, StageTiming, StageTiming]:
-        t0 = time.perf_counter()
         ml_result = self.ml_system.run_job(
             command=command,
             args=args,
             input_format=CsvInputFormat(),
             conf=conf,
         )
-        wall = time.perf_counter() - t0
         ingest_stage = StageTiming(
             name="input for ml",
             sim_seconds=self.cost.ml_hdfs_ingest_time(input_bytes * self.byte_scale),
@@ -727,9 +725,7 @@ class AnalyticsPipeline:
             bytes_in=input_bytes * self.byte_scale,
             bytes_out=input_bytes * self.byte_scale,
         )
-        train_stage = self._train_stage(
-            ml_result, input_bytes, None, wall - ml_result.ingest_stats.wall_seconds
-        )
+        train_stage = self._train_stage(ml_result, input_bytes, None)
         return ml_result, ingest_stage, train_stage
 
     def _train_stage(
@@ -737,7 +733,6 @@ class AnalyticsPipeline:
         ml_result: MLJobResult,
         data_bytes: int,
         args: dict | None,
-        wall: float | None = None,
     ) -> StageTiming:
         iterations = int((args or {}).get("iterations", 10))
         # The training basis is the in-memory RDD size — (dim+1) doubles per
@@ -753,7 +748,7 @@ class AnalyticsPipeline:
             name="ml train",
             sim_seconds=iterations
             * self.cost.sgd_iteration_time(rdd_bytes * self.byte_scale),
-            wall_seconds=wall if wall is not None else 0.0,
+            wall_seconds=ml_result.train_wall_seconds,
             bytes_in=rdd_bytes * self.byte_scale,
             counted=False,  # the paper excludes ML runtime from the comparison
         )

@@ -31,13 +31,22 @@ class FileSplit(InputSplit):
 
 
 class LineRecordReader(RecordReader):
-    """Yields text lines of one :class:`FileSplit` per Hadoop semantics."""
+    """Yields text lines of one :class:`FileSplit` per Hadoop semantics.
+
+    The reader keeps a cursor into one buffer of file bytes and decodes
+    every run of complete lines with a single ``decode``/``split``, so a
+    split costs time linear in its length.  Splitting undecoded bytes at
+    newlines is safe: no UTF-8 multi-byte sequence contains the newline
+    byte, so a character straddling a fill boundary stays buffered until
+    its line completes.
+    """
 
     def __init__(self, dfs: DistributedFileSystem, split: FileSplit, client_ip: str | None = None):
         self._split = split
         self._reader = dfs.open(split.path, client_ip=client_ip)
         self._reader.seek(split.start)
-        self._buffer = b""
+        self._buffer = bytearray()
+        self._pos = 0  # cursor: buffer bytes before it are consumed
         self._eof = False
         self._consumed = 0  # bytes of the file consumed past split.start
         if split.start > 0:
@@ -49,14 +58,26 @@ class LineRecordReader(RecordReader):
         # the boundary is read here); the next split's reader discards its
         # first partial line, which is exactly that one.  Net effect: every
         # line of the file is yielded by exactly one reader.
-        while True:
-            start_offset = self._consumed
-            if start_offset > self._split.split_length:
+        limit = self._split.split_length
+        while self._consumed <= limit:
+            buf, pos = self._buffer, self._pos
+            end = buf.rfind(b"\n", pos)
+            if end < 0:
+                if self._fill():
+                    continue
+                if pos < len(buf):  # the file's last line has no newline
+                    self._consumed += len(buf) - pos
+                    self._pos = len(buf)
+                    yield buf[pos:].decode("utf-8")
                 return
-            line = self._read_line()
-            if line is None:
-                return
-            yield line
+            # The last line to read here starts at buffer index last_start
+            # or before; it ends at the first newline from there on.
+            last_start = pos + limit - self._consumed
+            if last_start < end:
+                end = buf.find(b"\n", last_start)
+            self._consumed += end + 1 - pos
+            self._pos = end + 1
+            yield from buf[pos:end].decode("utf-8").split("\n")
 
     def close(self) -> None:
         self._reader.close()
@@ -64,32 +85,29 @@ class LineRecordReader(RecordReader):
     # ------------------------------------------------------------- internals
 
     def _fill(self) -> bool:
+        """Append the next 64 KB of the file, dropping consumed bytes."""
         if self._eof:
             return False
         chunk = self._reader.read(64 * 1024)
         if not chunk:
             self._eof = True
             return False
+        del self._buffer[: self._pos]
+        self._pos = 0
         self._buffer += chunk
         return True
 
-    def _read_line(self) -> str | None:
-        while b"\n" not in self._buffer:
-            if not self._fill():
-                if self._buffer:
-                    line = self._buffer
-                    self._consumed += len(line)
-                    self._buffer = b""
-                    return line.decode("utf-8")
-                return None
-        raw, self._buffer = self._buffer.split(b"\n", 1)
-        self._consumed += len(raw) + 1
-        return raw.decode("utf-8")
-
     def _discard_partial_first_line(self) -> None:
-        discarded = self._read_line()
-        if discarded is None:
-            self._eof = True
+        while True:
+            end = self._buffer.find(b"\n", self._pos)
+            if end >= 0:
+                self._consumed += end + 1 - self._pos
+                self._pos = end + 1
+                return
+            if not self._fill():
+                self._consumed += len(self._buffer) - self._pos
+                self._pos = len(self._buffer)
+                return
 
 
 class TextInputFormat(InputFormat):

@@ -16,6 +16,7 @@ cheapest recovery tier.  :meth:`train_local` trains on an already-built
 Dataset, which is what the pipeline's lineage-replay tiers use.
 """
 
+import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -50,6 +51,8 @@ class MLJobResult:
     recovered_via: str | None = None
     #: DatasetLineage describing how the training input was produced (§6)
     lineage: Any = None
+    #: wall seconds spent in the trainer, over every attempt
+    train_wall_seconds: float = 0.0
 
 
 def _default_algorithms() -> dict[str, Callable[[Dataset, dict], Any]]:
@@ -212,6 +215,7 @@ class MLSystem:
         max_retries = int(conf.get("train.retries", 1 if can_resume else 0))
         recovery = self._recovery_from_conf(conf)
         attempts = 0
+        started = time.perf_counter()
         while True:
             attempts += 1
             try:
@@ -233,6 +237,7 @@ class MLSystem:
             resumed_from_iteration=(
                 checkpointer.restored_iteration if checkpointer is not None else None
             ),
+            train_wall_seconds=time.perf_counter() - started,
         )
 
     def _make_checkpointer(self, command: str, conf: JobConf):

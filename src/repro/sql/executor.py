@@ -10,11 +10,12 @@ cost model converts into paper-scale seconds.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any
 
 from repro.cluster.cost import CostLedger
 from repro.cluster.node import Node
-from repro.columnar.batch import ColumnBatch
+from repro.columnar.batch import ColumnBatch, ColumnVector
 from repro.common.errors import ExecutionError
 from repro.iofmt.inputformat import JobConf
 from repro.iofmt.text import CsvInputFormat, FileSplit
@@ -51,6 +52,11 @@ def partition_rows(partition) -> list[tuple]:
 # Runtime conditions under which a vectorized kernel abdicates to the row
 # path: explicit fallbacks, plus type/shape refusals from strict conversion.
 _VECTOR_FALLBACK_ERRORS = (TypeError, ValueError, OverflowError)
+
+# Records a CSV scan decodes per column pass: large enough to amortize the
+# per-column calls, small enough that the raw field lists stay a small
+# fraction of the partition.
+_DECODE_CHUNK_RECORDS = 256
 
 
 @dataclass
@@ -196,15 +202,14 @@ class Executor:
     def _exec_scan(self, plan: LogicalScan) -> DistRelation:
         table = plan.table
         if table.is_external:
-            partitions = self._scan_external(table)
+            # On the columnar plane external scans build their batches (or
+            # have already counted the fallback to rows) themselves.
+            partitions = self._scan_external(table, plan.schema)
         else:
             partitions = self._redistribute_table(table)
             self._ctx.ledger.add("sql.scan", table.estimated_bytes())
-        if self._ctx.columnar:
-            partitions = [
-                self._to_batch(plan.schema, p) if not isinstance(p, ColumnBatch) else p
-                for p in partitions
-            ]
+            if self._ctx.columnar:
+                partitions = [self._to_batch(plan.schema, p) for p in partitions]
         relation = DistRelation(schema=plan.schema, partitions=partitions)
         if plan.pushed_filter is not None:
             relation = self._apply_filter(relation, plan.pushed_filter)
@@ -236,7 +241,7 @@ class Executor:
             partitions[i % n].append(row)
         return partitions
 
-    def _scan_external(self, table: Table) -> list[list[tuple]]:
+    def _scan_external(self, table: Table, schema: Schema) -> list:
         if self._ctx.dfs is None:
             raise ExecutionError(
                 f"external table {table.name!r} requires a DFS-attached engine"
@@ -254,24 +259,45 @@ class Executor:
         total_bytes = sum(s.length() for s in splits)
         self._ctx.ledger.add("sql.scan", total_bytes)
 
-        def read_worker(worker_id: int, worker_splits) -> list[tuple]:
+        def read_worker(worker_id: int, worker_splits):
             node = self._ctx.worker_nodes[worker_id % len(self._ctx.worker_nodes)]
             worker_conf = JobConf(
                 dict(conf.props, **{"client.ip": node.ip}), dfs=self._ctx.dfs
             )
+            columns: list[list] = [[] for _ in dtypes]
             rows: list[tuple] = []
             for split in worker_splits:
                 with fmt.create_record_reader(split, worker_conf) as reader:
-                    for fields in reader:
-                        if len(fields) != len(dtypes):
+                    records = iter(reader)
+                    # Decode in bounded chunks while the reader is open: the
+                    # raw field lists never outlive their chunk.
+                    while chunk := list(islice(records, _DECODE_CHUNK_RECORDS)):
+                        if set(map(len, chunk)) != {len(dtypes)}:
+                            bad = next(f for f in chunk if len(f) != len(dtypes))
                             raise ExecutionError(
                                 f"bad record in {table.name}: expected "
-                                f"{len(dtypes)} fields, got {len(fields)}"
+                                f"{len(dtypes)} fields, got {len(bad)}"
                             )
-                        rows.append(
-                            tuple(dt.parse(f) for dt, f in zip(dtypes, fields))
-                        )
-            return rows
+                        decoded = [
+                            dtype.parse_column(texts)
+                            for dtype, texts in zip(dtypes, zip(*chunk))
+                        ]
+                        if self._ctx.columnar:
+                            for out, values in zip(columns, decoded):
+                                out.extend(values)
+                        else:
+                            rows.extend(zip(*decoded))
+            if not self._ctx.columnar:
+                return rows
+            try:
+                vectors = [
+                    ColumnVector.from_values(dtype, values)
+                    for dtype, values in zip(dtypes, columns)
+                ]
+                return ColumnBatch.from_columns(schema, vectors)
+            except _VECTOR_FALLBACK_ERRORS:
+                self._count_columnar_fallback()
+                return list(zip(*columns))
 
         return self._map_partitions(assignments, read_worker)
 

@@ -5,6 +5,11 @@ from dataclasses import dataclass
 
 from repro.common.errors import PlanError
 
+#: CSV field spellings of NULL.
+_NULL_SPELLINGS = ("", r"\N")
+#: BOOLEAN field spellings (after strip and lower) that parse as true.
+_TRUE_SPELLINGS = ("true", "t", "1", "yes")
+
 
 class DataType(enum.Enum):
     """The scalar types the engine supports."""
@@ -21,15 +26,39 @@ class DataType(enum.Enum):
 
     def parse(self, text: str):
         """Parse a CSV field into a Python value (empty string -> NULL)."""
-        if text == "" or text == r"\N":
+        if text in _NULL_SPELLINGS:
             return None
         if self in (DataType.INT, DataType.BIGINT):
             return int(text)
         if self is DataType.DOUBLE:
             return float(text)
         if self is DataType.BOOLEAN:
-            return text.strip().lower() in ("true", "t", "1", "yes")
+            return text.strip().lower() in _TRUE_SPELLINGS
         return text
+
+    def parse_column(self, texts) -> list:
+        """Parse one column of CSV fields; same values and errors as
+        :meth:`parse` on each field.
+
+        A numeric column decodes in one ``map`` and a VARCHAR column passes
+        through, unless it holds a NULL spelling or a malformed number; then
+        it is decoded field by field, where a malformed field raises exactly
+        what :meth:`parse` raises.
+        """
+        if self is DataType.VARCHAR:
+            if "" in texts or r"\N" in texts:
+                return [None if text in _NULL_SPELLINGS else text for text in texts]
+            return list(texts)
+        if self is DataType.BOOLEAN:
+            return [
+                None if text in _NULL_SPELLINGS else text.strip().lower() in _TRUE_SPELLINGS
+                for text in texts
+            ]
+        convert = float if self is DataType.DOUBLE else int
+        try:
+            return list(map(convert, texts))
+        except ValueError:  # a NULL spelling, or a malformed number
+            return [None if text in _NULL_SPELLINGS else convert(text) for text in texts]
 
     def render(self, value) -> str:
         """Render a Python value as a CSV field (NULL -> empty string)."""

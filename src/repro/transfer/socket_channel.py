@@ -14,7 +14,6 @@ to ``stream.spilled``) and flushes as the ML side drains.
 Select it per coordinator: ``Coordinator(..., transport="socket")``.
 """
 
-import itertools
 import socket
 import struct
 import threading
@@ -85,7 +84,10 @@ class MuxSocketTransport:
         self._recv_sock = recv_sock
         self._send_timeout_s = send_timeout_s
         self.receive_timeout_s = receive_timeout_s
-        self._tag_ids = itertools.count()
+        # Per-tag state is kept for live tags only.  Tags count up from 0, so
+        # a tag below ``_next_tag`` that is not live has been released.
+        self._next_tag = 0
+        self._live: set[int] = set()  # allocated, not yet released
         self._send_lock = threading.Lock()
         self._overflow: dict[int, deque[bytes]] = {}
         #: control frames (CANCEL) jump the round-robin: they are pumped
@@ -94,7 +96,7 @@ class MuxSocketTransport:
         self._wire_remainder = b""
         self._wire_tag: int | None = None
         self._tag_governor: dict[int, tuple] = {}
-        self._closed_tags: set[int] = set()
+        self._sending: set[int] = set()  # live tags not yet closed or aborted
         self._transport_closed = False
         #: Notified whenever the wire may have drained (the receive pump
         #: freed kernel buffer space) or a flush should give up (tag
@@ -105,8 +107,10 @@ class MuxSocketTransport:
         self._socket_lock = threading.Lock()
         self._recv_cond = threading.Condition()
         self._frames: dict[int, deque[bytes]] = {}
-        self._eof: set[int] = set()
-        self._released: set[int] = set()
+        self._eof: set[int] = set()  # live tags whose EOF frame arrived
+        # A cancel or abort verdict outlives its tag's release, so a reader
+        # woken after teardown still raises instead of seeing a clean EOF;
+        # only cancelled or aborted tags have one.
         self._cancelled: set[int] = set()  # tags with a received CANCEL
         self._aborted: dict[int, str] = {}  # tag -> reason of its ABORT
         self._stream_eof = False
@@ -116,12 +120,19 @@ class MuxSocketTransport:
 
     def new_tag(self, governor=None, tenant: str = "default") -> int:
         """Allocate a fresh stream tag (optionally governed for the tenant)."""
-        tag = next(self._tag_ids)
         with self._send_lock:
+            tag = self._next_tag
+            self._next_tag += 1
             self._overflow[tag] = deque()
+            self._sending.add(tag)
             if governor is not None:
                 self._tag_governor[tag] = (governor, tenant)
+        with self._recv_cond:
+            self._live.add(tag)
         return tag
+
+    def _released(self, tag: int) -> bool:
+        return tag < self._next_tag and tag not in self._live
 
     # ------------------------------------------------------------ send side
 
@@ -130,7 +141,7 @@ class MuxSocketTransport:
         (the caller's spill accounting)."""
         frame = _MUX_FRAME.pack(len(payload), tag) + payload
         with self._send_lock:
-            if self._transport_closed or tag in self._closed_tags:
+            if self._transport_closed or tag not in self._sending:
                 raise TransferError(f"send on closed mux tag {tag}")
             self._pump_locked()
             queue = self._overflow[tag]
@@ -228,7 +239,7 @@ class MuxSocketTransport:
         The tag's queued frames are dropped (nobody will deliver them), so a
         concurrent ``close_tag`` flush cannot wait on them either."""
         with self._send_lock:
-            self._closed_tags.add(tag)
+            self._sending.discard(tag)
             queue = self._overflow.get(tag)
             if queue:
                 self._credit(tag, sum(len(f) for f in queue))
@@ -253,7 +264,11 @@ class MuxSocketTransport:
         self._notify_drain()
 
     def _apply_control(self, verb: int, tag: int, reason: str) -> None:
-        """Record a control verb.  Caller holds ``_recv_cond``."""
+        """Record a control verb for a live tag (the wire copy of a verb
+        already applied locally may arrive after release).  Caller holds
+        ``_recv_cond``."""
+        if tag not in self._live:
+            return
         if verb == _CANCEL:
             self._cancelled.add(tag)
         else:
@@ -280,10 +295,10 @@ class MuxSocketTransport:
         """
         eof = _MUX_FRAME.pack(0, tag)
         with self._send_lock:
-            if self._transport_closed or tag in self._closed_tags:
+            if self._transport_closed or tag not in self._sending:
                 return
-            self._closed_tags.add(tag)
-            self._overflow.setdefault(tag, deque()).append(eof)
+            self._sending.discard(tag)
+            self._overflow[tag].append(eof)
             self._charge(tag, len(eof))
         deadline = self._clock.now() + self._send_timeout_s
         dispose = (
@@ -323,12 +338,12 @@ class MuxSocketTransport:
             queue = self._overflow.pop(tag, None)
             if queue:
                 self._credit(tag, sum(len(f) for f in queue))
-            self._closed_tags.add(tag)
+            self._sending.discard(tag)
             self._tag_governor.pop(tag, None)
         with self._recv_cond:
-            self._released.add(tag)
+            self._live.discard(tag)
             self._frames.pop(tag, None)
-            self._eof.add(tag)
+            self._eof.discard(tag)
             self._recv_cond.notify_all()
         self._notify_drain()
 
@@ -367,7 +382,7 @@ class MuxSocketTransport:
                 queue = self._frames.get(tag)
                 if queue:
                     return queue.popleft()
-                if tag in self._eof or self._stream_eof:
+                if tag in self._eof or self._stream_eof or self._released(tag):
                     return None
             remaining = deadline - self._clock.now()
             if remaining <= 0:
@@ -386,6 +401,7 @@ class MuxSocketTransport:
                         not self._frames.get(tag)
                         and tag not in self._eof
                         and not self._stream_eof
+                        and not self._released(tag)
                     ):
                         self._clock.wait_on(self._recv_cond, slice_s)
 
@@ -424,9 +440,11 @@ class MuxSocketTransport:
                     verb, target = _CONTROL.unpack_from(payload)
                     reason = payload[_CONTROL.size :].decode()
                     self._apply_control(verb, target, reason)
+                elif frame_tag not in self._live:
+                    pass  # late frame for a released tag: dropped
                 elif length == 0:
                     self._eof.add(frame_tag)
-                elif frame_tag not in self._released:
+                else:
                     self._frames.setdefault(frame_tag, deque()).append(payload)
             self._recv_cond.notify_all()
         # Bytes left the kernel buffer: blocked close_tag flushes can retry.

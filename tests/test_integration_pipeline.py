@@ -82,6 +82,18 @@ class TestStageShapes:
         names = [s.name for s in result.stages]
         assert names == ["recode pass 1", "prep+trsfm+input", "ml train"]
 
+    @pytest.mark.parametrize("approach", ["run_insql_stream", "run_insql_broker"])
+    def test_train_stage_reports_wall_time(self, retail, approach):
+        """Training runs inside the ML system on the stream and broker paths;
+        its wall time still lands on the (uncounted) ml train stage."""
+        deployment, wl = retail
+        run = getattr(deployment.pipeline, approach)
+        result = run(wl.prep_sql, wl.spec, "svm_with_sgd", {"iterations": 2})
+        train = result.stage("ml train")
+        assert train.wall_seconds > 0
+        assert train.wall_seconds == result.ml_result.train_wall_seconds
+        assert not train.counted
+
     def test_sim_ordering(self, retail):
         deployment, wl = retail
         naive = deployment.pipeline.run_naive(wl.prep_sql, wl.spec, "noop")

@@ -202,3 +202,71 @@ class TestCsvInputFormat:
             with fmt.create_record_reader(split, conf) as reader:
                 rows.extend(reader)
         assert rows == [["1", "a"], ["2", "b"]]
+
+
+# Line pieces that exercise the reader's buffer handling: empty lines,
+# multi-byte UTF-8 (2, 3 and 4 bytes), and lines longer than one 64 KB fill.
+_LINE = st.one_of(
+    st.text(alphabet=st.characters(blacklist_characters="\n"), max_size=12),
+    st.builds(
+        lambda char, count: char * count,
+        st.sampled_from(["a", "é", "€", "😀"]),
+        st.integers(min_value=20_000, max_value=70_000),
+    ),
+)
+
+
+def _expected_lines(content: str) -> list[str]:
+    """What reading a whole text file line by line must give."""
+    lines = content.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # a final newline ends the last line; it starts none
+    return lines
+
+
+def _line_starts(data: bytes) -> list[int]:
+    starts = [0]
+    position = data.find(b"\n")
+    while position >= 0:
+        starts.append(position + 1)
+        position = data.find(b"\n", position + 1)
+    return [s for s in starts if s < len(data)]
+
+
+class TestLineReaderProperty:
+    """Every line comes out exactly once, in order, for any split layout."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        lines=st.lists(_LINE, min_size=1, max_size=12),
+        trailing_newline=st.booleans(),
+        data=st.data(),
+    )
+    def test_any_layout_matches_plain_split(self, lines, trailing_newline, data):
+        content = "\n".join(lines) + ("\n" if trailing_newline else "")
+        raw = content.encode("utf-8")
+        if not raw:
+            return
+        dfs = make_dfs(block_size=48 * 1024)
+        dfs.write_text("/p", content)
+        # Cut points: some at line starts, some anywhere (mid-character too).
+        at_starts = data.draw(st.lists(st.sampled_from(_line_starts(raw)), max_size=4))
+        anywhere = data.draw(
+            st.lists(st.integers(min_value=1, max_value=len(raw) - 1), max_size=6)
+            if len(raw) > 1
+            else st.just([])
+        )
+        cuts = sorted({0, len(raw), *at_starts, *anywhere})
+        got = []
+        for start, end in zip(cuts, cuts[1:]):
+            with LineRecordReader(dfs, FileSplit("/p", start, end - start)) as reader:
+                got.extend(reader)
+        assert got == _expected_lines(content)
+
+    def test_character_straddling_a_fill_boundary(self):
+        # The 64 KB fill ends inside the 3-byte "€" of the first line.
+        content = "x" * (64 * 1024 - 1) + "€tail\nsecond\n"
+        dfs = make_dfs(block_size=1024 * 1024)
+        dfs.write_text("/u", content)
+        with LineRecordReader(dfs, FileSplit("/u", 0, len(content.encode()))) as reader:
+            assert list(reader) == ["x" * (64 * 1024 - 1) + "€tail", "second"]

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro import make_deployment
-from repro.common.errors import TransferError
+from repro.common.errors import ChannelAbortedError, TransferError
 from repro.sql.types import DataType, Schema
 from repro.transfer.channel import ChannelId, StreamChannel
 from repro.transfer.socket_channel import MuxSocketTransport
@@ -83,6 +83,98 @@ class TestSocketChannelUnit:
         for t in threads:
             t.join(timeout=20)
         assert received == rows
+
+
+def per_tag_state(transport: MuxSocketTransport) -> dict:
+    """Sizes of every per-tag container a mux transport keeps."""
+    return {
+        "live": len(transport._live),
+        "sending": len(transport._sending),
+        "eof": len(transport._eof),
+        "frames": len(transport._frames),
+        "overflow": len(transport._overflow),
+        "governed": len(transport._tag_governor),
+        "cancelled": len(transport._cancelled),
+        "aborted": len(transport._aborted),
+    }
+
+
+class TestMuxTagLifecycle:
+    """Per-tag state lives only as long as the tag: a transport shared by
+    many sessions must not grow with the number of sessions it served."""
+
+    def test_closed_sessions_leave_no_tag_state(self):
+        transport = MuxSocketTransport(buffer_bytes=4096)
+        for session in range(50):
+            channels = [
+                StreamChannel(ChannelId(session, j), mux=transport) for j in range(3)
+            ]
+            for channel in channels:
+                channel.send_row((session, "x" * 40))
+                channel.close()
+            for channel in channels:
+                assert list(channel) == [(session, "x" * 40)]
+                channel.release()
+        assert all(size == 0 for size in per_tag_state(transport).values())
+
+    def test_released_tag_drops_late_frames_and_reads_eof(self):
+        transport = MuxSocketTransport(buffer_bytes=65536)
+        early, other = transport.new_tag(), transport.new_tag()
+        transport.send(early, b"unread")
+        transport.release_tag(early)
+        transport.send(other, b"kept")
+        transport.close_tag(other)
+        assert transport.recv(other, timeout=5) == b"kept"
+        assert transport.recv(other, timeout=5) is None
+        transport.release_tag(other)
+        # The unread frame crossed the wire after its tag was released.
+        assert transport.recv(early, timeout=5) is None
+        assert all(size == 0 for size in per_tag_state(transport).values())
+
+    def test_send_after_close_or_release_raises(self):
+        transport = MuxSocketTransport()
+        closed, released = transport.new_tag(), transport.new_tag()
+        transport.close_tag(closed)
+        transport.release_tag(released)
+        for tag in (closed, released):
+            with pytest.raises(TransferError, match="closed mux tag"):
+                transport.send(tag, b"late")
+
+    def test_abort_stays_sticky_over_close_and_release(self):
+        transport = MuxSocketTransport()
+        tag = transport.new_tag()
+        transport.send(tag, b"prefix")
+        transport.abort_tag(tag, "producer died")
+        transport.close_tag(tag)  # no-op after an abort
+        with pytest.raises(ChannelAbortedError, match="producer died"):
+            transport.recv(tag, timeout=5)
+        transport.release_tag(tag)
+        with pytest.raises(ChannelAbortedError, match="producer died"):
+            transport.recv(tag, timeout=5)
+
+    def test_socket_deployment_sessions_leave_no_tag_state(self):
+        deployment = make_deployment(transport="socket")
+        engine = deployment.engine
+        engine.create_table(
+            "pts",
+            Schema.of(("a", DataType.DOUBLE), ("y", DataType.DOUBLE)),
+            [(float(i % 5), float(i % 2)) for i in range(40)],
+        )
+        for i in range(8):
+            session_id = f"s{i}"
+            deployment.coordinator.create_session(
+                session_id, command="noop", conf_props={"record.format": "raw"}
+            )
+            engine.query_rows(
+                "SELECT * FROM TABLE(stream_transfer("
+                f"(SELECT a, y FROM pts), '{session_id}')) AS s"
+            )
+            deployment.coordinator.wait_result(session_id)
+            deployment.coordinator.close_session(session_id)
+        transports = list(deployment.coordinator._mux_transports.values())
+        assert transports
+        for transport in transports:
+            assert all(size == 0 for size in per_tag_state(transport).values())
 
 
 class TestSocketTransportEndToEnd:
